@@ -313,6 +313,14 @@ bool poll_until(Pred&& pred, int timeout_ms) {
   return true;
 }
 
+/// Publishing a graph schedules its landmark table build on the rebuilder,
+/// in that graph's fault domain. Faults are armed only once those builds
+/// have settled; otherwise a build can take a fault meant for a query.
+bool landmark_builds_settled(const SsspService<uint32_t>& svc) {
+  return poll_until(
+      [&] { return svc.report().landmark_builds_pending == 0; }, 20000);
+}
+
 bool flight_has(const std::vector<StampedFlightEvent>& events, FlightKind k) {
   for (const auto& e : events)
     if (e.ev.kind == uint16_t(k)) return true;
@@ -370,6 +378,8 @@ uint64_t service_chaos_round(uint64_t round, uint64_t seed, bool smoke,
                  what.c_str());
     if (violations == 1) dump_flight(svc);
   };
+  if (!landmark_builds_settled(svc))
+    violation("landmark table builds never settled before the burst");
 
   // Phase A — chaos burst. A limited budget of dropped publications wedges
   // k of the 3 engines mid-solve; stalls add scheduling noise. Every
@@ -519,6 +529,8 @@ uint64_t tenant_chaos_round(uint64_t round, uint64_t seed, bool smoke,
                  what.c_str());
     if (violations == 1) dump_flight(svc);
   };
+  if (!landmark_builds_settled(svc))
+    violation("landmark table builds never settled before the burst");
 
   // Phase A — scoped chaos burst. The plan only fires inside the victim's
   // fault domain: its queries wedge and stall, the survivors' solves (and

@@ -37,6 +37,10 @@ uint32_t Bucket::reset() noexcept {
   // Same sweep as the destructor: everything mapped in [freed_limit_,
   // alloc_limit_) goes back to the pool. Quiesced by contract, so the
   // relaxed loads read the final values of the previous run.
+  // Entries outside that range are already invalid (recycle and shrink
+  // clear what they free), so the sweep leaves the whole table invalid.
+  // The table and WCC array scale with the pool, so neither is swept in
+  // full here: WCCs are zeroed at map time instead (see the header).
   uint32_t freed = 0;
   const uint32_t alloc = alloc_limit_.load(std::memory_order_relaxed);
   for (uint32_t base = freed_limit_; wrap_lt(base, alloc);
@@ -45,16 +49,17 @@ uint32_t Bucket::reset() noexcept {
     const BlockId b = slot.load(std::memory_order_relaxed);
     if (b != kInvalidBlock) {
       pool_.release(b);
+      slot.store(kInvalidBlock, std::memory_order_relaxed);
       ++freed;
     }
   }
-  for (auto& t : table_) t.store(kInvalidBlock, std::memory_order_relaxed);
-  for (auto& w : wcc_) w.store(0, std::memory_order_relaxed);
   resv_ptr_.store(0, std::memory_order_relaxed);
   cwc_.store(0, std::memory_order_relaxed);
   read_ptr_ = 0;
+  scan_ptr_ = 0;
   freed_limit_ = 0;
   mapped_blocks_ = 0;
+  scanned_segments_ = 0;
   // Release-publish the rewound limit last, mirroring construction order:
   // the next run's writers acquire alloc_limit_ before touching the table.
   alloc_limit_.store(0, std::memory_order_release);
@@ -97,13 +102,13 @@ uint32_t Bucket::ensure_capacity(uint32_t slack, bool best_effort) {
   while (static_cast<int64_t>(static_cast<int32_t>(alloc - resv)) <
          static_cast<int64_t>(slack)) {
     // The next region to map starts at alloc (always block aligned). Its
-    // table slot must have been recycled: the slot's previous occupant
-    // covered [alloc - table_size*block_words, ...), which is free iff
-    // freed_limit_ has passed its end.
-    const uint32_t wrap_span = table_size_ * block_words_;
-    const uint32_t prev_region_end = alloc - wrap_span + block_words_;
-    if (mapped_blocks_ >= table_size_ &&
-        wrap_lt(freed_limit_, prev_region_end)) {
+    // table slot's previous occupant covered [alloc - table_size*block_words,
+    // ...): the mapped span [freed_limit, alloc + block) must fit in one
+    // table period, or prefix recycling would later reach the old region
+    // through a slot that now names the new block. (Hole recycling can
+    // free that old block early; the span bound still holds.)
+    if (uint64_t(alloc - freed_limit_) + block_words_ >
+        uint64_t(table_size_) * block_words_) {
       break;  // table full: writers must wait for consumption to catch up
     }
     const BlockId b = best_effort ? pool_.try_allocate() : pool_.allocate();
@@ -190,25 +195,33 @@ uint32_t Bucket::realign_drained() noexcept {
 
 uint32_t Bucket::scan_written_bound() noexcept {
   const uint32_t resv = resv_ptr_.load(std::memory_order_acquire);
-  uint32_t bound = read_ptr_;
-  while (wrap_lt(bound, resv)) {
+  // alloc_limit_ is only ever stored by this (the manager) thread.
+  const uint32_t alloc = alloc_limit_.load(std::memory_order_relaxed);
+  const uint32_t limit = wrap_lt(alloc, resv) ? alloc : resv;
+  uint32_t bound = wrap_lt(scan_ptr_, read_ptr_) ? read_ptr_ : scan_ptr_;
+  while (wrap_lt(bound, limit)) {
+    // bound < alloc_limit: the segment is mapped and its WCC was zeroed
+    // when its block was, so the count is this segment's own.
     const uint32_t seg_base = bound & ~(segment_words_ - 1);
     const uint32_t wcc = wcc_[wcc_slot(bound)].load(std::memory_order_acquire);
+    ++scanned_segments_;
     if (wcc == segment_words_) {
       // Fully written segment. WCC == N implies N reservations in this
-      // segment, so seg_base + N <= resv and the advance cannot overshoot.
+      // segment, so seg_base + N <= resv and the advance cannot overshoot;
+      // alloc_limit is block aligned, so it cannot pass that either.
       bound = seg_base + segment_words_;
       continue;
     }
     // Partial segment: it is fully written exactly when every reservation
     // that exists in it has published, i.e. seg_base + WCC == resv_ptr with
     // resv_ptr re-read after a fence so the comparison is not stale
-    // (paper §5.2).
+    // (paper §5.2). WCC < N keeps that resv_ptr inside this mapped segment.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     const uint32_t resv2 = resv_ptr_.load(std::memory_order_acquire);
     if (seg_base + wcc == resv2 && wrap_le(bound, resv2)) bound = resv2;
     break;
   }
+  scan_ptr_ = bound;
   return bound;
 }
 
@@ -227,16 +240,38 @@ uint32_t Bucket::recycle_below(uint32_t completed_bound) {
   // bound, never in the freed region — and the bucket's counters continue
   // monotonically, so the raced item simply becomes lower-priority work.
   ADDS_ASSERT(wrap_le(completed_bound, read_ptr_));
+  // read_ptr never passes alloc_limit (the scan is clamped), so neither
+  // does freed_limit: every block below the bound was mapped.
+  ADDS_ASSERT(wrap_le(read_ptr_, alloc_limit_.load(std::memory_order_relaxed)));
   uint32_t freed = 0;
   // Every block that ends at or before the bound is consumed and completed.
-  while (mapped_blocks_ > 0 &&
-         wrap_le(freed_limit_ + block_words_, completed_bound)) {
+  while (wrap_le(freed_limit_ + block_words_, completed_bound)) {
     auto& slot = table_[table_slot(freed_limit_)];
     const BlockId b = slot.load(std::memory_order_relaxed);
-    ADDS_ASSERT(b != kInvalidBlock);
+    if (b != kInvalidBlock) {  // else recycle_range freed it as a hole
+      slot.store(kInvalidBlock, std::memory_order_relaxed);
+      pool_.release(b);
+      --mapped_blocks_;
+      ++freed;
+    }
+    freed_limit_ += block_words_;
+  }
+  return freed;
+}
+
+uint32_t Bucket::recycle_range(uint32_t lo, uint32_t hi) {
+  ADDS_ASSERT(wrap_le(hi, read_ptr_));
+  // Below freed_limit a slot may already name a block of the next table
+  // period; only [freed_limit, hi) is this period's.
+  if (wrap_lt(lo, freed_limit_)) lo = freed_limit_;
+  uint32_t freed = 0;
+  for (uint32_t base = (lo + block_words_ - 1) & ~(block_words_ - 1);
+       wrap_le(base + block_words_, hi); base += block_words_) {
+    auto& slot = table_[table_slot(base)];
+    const BlockId b = slot.load(std::memory_order_relaxed);
+    if (b == kInvalidBlock) continue;  // freed by an earlier call
     slot.store(kInvalidBlock, std::memory_order_relaxed);
     pool_.release(b);
-    freed_limit_ += block_words_;
     --mapped_blocks_;
     ++freed;
   }

@@ -10,11 +10,12 @@
 //     item and *publishes* it by incrementing the Write-Completed Counter
 //     (WCC) of the N-word segment the slot belongs to (release ordering).
 //   * ONE manager thread (MTB) reads: it never touches items directly from
-//     racing writers; it walks segment WCCs from `read_ptr` to compute a
-//     bound below which every slot is known fully written (a segment with
-//     WCC == N is complete; a partial segment is complete exactly when
-//     segment_base + WCC == resv_ptr re-read after a fence), then hands
-//     [read_ptr, bound) ranges out to workers.
+//     racing writers; it walks segment WCCs from a private scan cursor to
+//     compute a bound below which every slot is known fully written (a
+//     segment with WCC == N is complete; a partial segment is complete
+//     exactly when segment_base + WCC == resv_ptr re-read after a fence),
+//     then hands [read_ptr, bound) ranges out to workers. The walk never
+//     passes alloc_limit: only mapped segments have meaningful WCCs.
 //   * Writers never wait for each other; writers wait for the manager only
 //     when storage has not been allocated ahead of them (back-pressure).
 //   * A Completed-Work Counter (CWC) counts items whose processing has
@@ -153,8 +154,9 @@ class Bucket {
   // ---- Manager (MTB) side — single thread only ----------------------------
 
   /// Ensures at least `slack` writable slots exist beyond resv_ptr by
-  /// mapping new blocks. Limited by translation-table wrap (a slot can only
-  /// be remapped once its previous block was recycled) and pool capacity.
+  /// mapping new blocks. Limited by translation-table wrap (the mapped
+  /// span from the recycled prefix to alloc_limit never exceeds table_size
+  /// blocks) and pool capacity.
   /// With `best_effort` an exhausted pool stops the mapping loop instead of
   /// throwing (the pressure governor's path: the manager spills and
   /// retries); without it exhaustion throws adds::Error as before.
@@ -221,6 +223,14 @@ class Bucket {
 
   /// Computes the largest index bound such that every slot in
   /// [read_ptr, bound) is known fully written. Does not modify read_ptr.
+  ///
+  /// The walk resumes at the previous call's bound (a manager-private
+  /// cursor, never behind read_ptr), so a sweep costs one WCC load per
+  /// *newly* published segment rather than one per segment of the whole
+  /// unconsumed backlog. It stops at min(resv_ptr, alloc_limit): a segment
+  /// at or past alloc_limit is unmapped, and its WCC slot aliases a region
+  /// one translation window earlier whose stale count would vouch for
+  /// slots nobody wrote (docs/QUEUE_PROTOCOL.md §"Read path").
   uint32_t scan_written_bound() noexcept;
 
   /// Marks [read_ptr, new_read) as handed out to workers.
@@ -240,6 +250,15 @@ class Bucket {
   /// are returned without waiting for a full drain. Returns blocks freed.
   uint32_t recycle_below(uint32_t completed_bound);
 
+  /// Recycles every block wholly inside [lo, hi) ahead of the completed
+  /// prefix: a hole. The caller (manager) must guarantee that every item in
+  /// [lo, hi) has been completed, with hi <= read_ptr. Prefix recycling
+  /// stops at the oldest range still in flight; when that range's worker
+  /// is parked on capacity, blocks that completed out of order above it
+  /// are the only memory left to give. recycle_below later steps over the
+  /// freed entries. Returns blocks freed.
+  uint32_t recycle_range(uint32_t lo, uint32_t hi);
+
   /// Recycles every block wholly below read_ptr. Call when the window
   /// retires this bucket — the manager observed it drained, so no assigned
   /// range (all completed) still points below read_ptr. A concurrent racing
@@ -249,10 +268,13 @@ class Bucket {
 
   /// Quiesced-only reuse hook (warm engines — docs/QUEUE_PROTOCOL.md
   /// §"Reset and reuse"): returns every still-mapped block to the pool and
-  /// rewinds all counters, translation entries and WCCs to the
-  /// freshly-constructed state. The caller must guarantee that no writer
-  /// or reader thread touches the bucket concurrently — there is no
-  /// handshake here; reset between runs, with every worker idle-parked.
+  /// rewinds all counters, the scan cursor and the translation entries to
+  /// the freshly-constructed state. WCCs are left as they are: a slot is
+  /// zeroed when its region is mapped, and the scan never reads an
+  /// unmapped one, so a stale count is unobservable. The caller must
+  /// guarantee that no writer or reader thread touches the bucket
+  /// concurrently — there is no handshake here; reset between runs, with
+  /// every worker idle-parked.
   /// The abort-flag wiring survives the reset. Returns blocks freed.
   uint32_t reset() noexcept;
 
@@ -297,6 +319,9 @@ class Bucket {
                    resv_ptr_.load(std::memory_order_relaxed));
   }
   uint32_t mapped_blocks() const noexcept { return mapped_blocks_; }
+  /// WCC loads scan_written_bound has issued since construction or the
+  /// last reset() — the manager's scan cost, one per segment visited.
+  uint64_t scanned_segments() const noexcept { return scanned_segments_; }
   uint32_t segment_words() const noexcept { return segment_words_; }
   uint32_t block_words() const noexcept { return block_words_; }
 
@@ -338,8 +363,10 @@ class Bucket {
 
   // Manager-private state.
   uint32_t read_ptr_ = 0;
+  uint32_t scan_ptr_ = 0;     // last written bound; resume point of the scan
   uint32_t freed_limit_ = 0;  // block-aligned; blocks below are recycled
   uint32_t mapped_blocks_ = 0;
+  uint64_t scanned_segments_ = 0;
 
   // Optional shared teardown signal (see set_abort_flag).
   const std::atomic<bool>* abort_flag_ = nullptr;

@@ -212,7 +212,7 @@ struct ServiceReport {
   uint64_t oracle_exact_hits = 0;        // tight-bound p2p serves
   uint64_t alt_searches = 0;             // ALT-guided A* p2p serves
   uint64_t p2p_engine_fallbacks = 0;     // p2p through a full engine solve
-  uint32_t landmark_builds_pending = 0;  // build/repair tasks queued now
+  uint32_t landmark_builds_pending = 0;  // build/repair tasks queued or running
 
   // ---- Persistence (src/persist/ state store) ----
   uint64_t state_saves_ok = 0;          // StateStore::save published a store

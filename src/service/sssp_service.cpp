@@ -186,6 +186,7 @@ struct SsspService<W>::Impl {
   // rebuilds and delta repairs.
   LandmarkRegistry<W> landmarks;
   std::deque<LandmarkTask> landmark_queue;
+  bool landmark_running = false;  // a task is on the rebuilder, outside m
   uint64_t landmark_builds_ok = 0;
   uint64_t landmark_repairs_ok = 0;
   uint64_t landmark_rebuild_fallbacks = 0;
@@ -440,8 +441,14 @@ struct SsspService<W>::Impl {
     // running on the rebuilder finishes on its refcounted snapshot and
     // discards its table at install time (catalog.contains re-check).
     landmarks.drop(fp);
-    for (auto it = landmark_queue.begin(); it != landmark_queue.end();)
-      it = it->fp == fp ? landmark_queue.erase(it) : ++it;
+    for (auto it = landmark_queue.begin(); it != landmark_queue.end();) {
+      if (it->fp != fp) {
+        ++it;
+        continue;
+      }
+      record(FlightKind::kTableDropped, FlightEvent::kNoEngine, fp, 0);
+      it = landmark_queue.erase(it);
+    }
   }
 
   /// Projects a full SSSP tree onto the point-to-point fields of an
@@ -1449,6 +1456,7 @@ struct SsspService<W>::Impl {
   void run_landmark_locked(std::unique_lock<std::mutex>& lk,
                            LandmarkTask task) {
     const double t0 = uptime.elapsed_ms();
+    landmark_running = true;
     lk.unlock();
 
     if (!repair_engine)
@@ -1494,6 +1502,7 @@ struct SsspService<W>::Impl {
     }
 
     lk.lock();
+    landmark_running = false;
     if (fell_back) {
       ++landmark_rebuild_fallbacks;
       record(FlightKind::kTableRebuildFallback, FlightEvent::kNoEngine,
@@ -1534,6 +1543,7 @@ struct SsspService<W>::Impl {
              unsupported ? 1 : 0);
     } else {
       landmarks.drop(task.fp);  // generation left the catalog mid-build
+      record(FlightKind::kTableDropped, FlightEvent::kNoEngine, task.fp, 1);
     }
   }
 
@@ -2402,7 +2412,8 @@ struct SsspService<W>::Impl {
     rep.oracle_exact_hits = oracle_exact_hits;
     rep.alt_searches = alt_searches;
     rep.p2p_engine_fallbacks = p2p_engine_fallbacks;
-    rep.landmark_builds_pending = uint32_t(landmark_queue.size());
+    rep.landmark_builds_pending =
+        uint32_t(landmark_queue.size()) + (landmark_running ? 1 : 0);
     rep.state_saves_ok = state_saves_ok;
     rep.state_saves_failed = state_saves_failed;
     rep.state_restores_ok = state_restores_ok;

@@ -116,6 +116,7 @@ const char* flight_kind_name(FlightKind k) noexcept {
     case FlightKind::kTableRepaired: return "table-repaired";
     case FlightKind::kTableRebuildFallback: return "table-rebuild-fallback";
     case FlightKind::kTableBuildFailed: return "table-build-failed";
+    case FlightKind::kTableDropped: return "table-dropped";
     case FlightKind::kOracleServe: return "oracle-serve";
     case FlightKind::kStateSaved: return "state-saved";
     case FlightKind::kStateLoaded: return "state-loaded";
@@ -217,6 +218,7 @@ std::string format_flight_event(const StampedFlightEvent& e) {
     case FlightKind::kTableBuildStart:
     case FlightKind::kTableRebuildFallback:
     case FlightKind::kTableBuildFailed:
+    case FlightKind::kTableDropped:
       std::snprintf(buf + n, sizeof(buf) - size_t(n), "%s fp=%016llx a=%u",
                     flight_kind_name(kind), (unsigned long long)e.ev.b,
                     e.ev.a);

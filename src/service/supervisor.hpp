@@ -337,6 +337,9 @@ enum class FlightKind : uint16_t {
   kStateLoaded = 42,       // a=graphs restored, b=sections read, c=tables+cache
   kStateCorrupt = 43,      // a=corrupt sections, b=StoreErrorKind+1 (0 = none)
   kColdRebuild = 44,       // b=fingerprint whose artifact went cold, a=what
+  kTableDropped = 45,      // b=fingerprint, a=1 when the build had started
+                           // (generation left the catalog or service
+                           // stopped: no table, terminal)
 };
 
 const char* flight_kind_name(FlightKind k) noexcept;

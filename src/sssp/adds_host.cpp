@@ -15,7 +15,12 @@
 //
 // Distances live in a shared AtomicDistArray with CAS fetch-min. An item is
 // just a vertex id (as in the paper); a popped vertex is relaxed against
-// its *current* distance, so a stale pop costs redundant-but-correct work.
+// its *current* distance. A vertex improved k times before it pops sits in
+// the queue k times, so every pop first claims its label in a second
+// array, `expanded`: only the pop that lowers expanded[u] to dist[u]
+// relaxes the row, and every other copy is dropped as a stale pop. No
+// label is expanded twice, and a vertex's final label exactly once
+// (docs/QUEUE_PROTOCOL.md §"Once-per-label expansion").
 //
 // The engine is packaged as a warm, reusable HostEngine (host_engine.hpp):
 // worker threads and the pool/queue pair outlive a single query, and each
@@ -25,6 +30,7 @@
 #include "sssp/host_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <limits>
 #include <mutex>
@@ -49,38 +55,116 @@ namespace adds {
 
 namespace {
 
+/// The per-query state a row relaxation reads and writes. Workers and the
+/// manager's inline execution both pop items through relax_item() below,
+/// so the stale-pop claim lives in one place. Batched solves carry their
+/// lane in the item's top bits; dist/expanded/parent are lane-major
+/// [lane * V + v] so one lane's relaxations walk one contiguous row.
+template <WeightType W>
+struct QueryRows {
+  const CsrGraph<W>* graph = nullptr;
+  AtomicDistArray<DistT<W>>* dist = nullptr;
+  /// Per vertex, the lowest label whose row has been claimed for
+  /// expansion (infinity: never expanded).
+  AtomicDistArray<DistT<W>>* expanded = nullptr;
+  uint32_t num_lanes = 1;
+  const std::atomic<bool>* lane_dead = nullptr;  // [num_lanes] detach flags
+  std::atomic<VertexId>* parent = nullptr;       // [num_lanes * V] or null
+};
+
+/// Pops one item: decodes (lane, node), claims the node's current label
+/// and, if the claim wins, relaxes its row, handing every improvement to
+/// `push(item, dist)`. `pushed`/`popped` are the caller's own per-lane
+/// counter row (null for single-source solves). The lane-counter
+/// discipline (docs/QUEUE_PROTOCOL.md §"Per-lane termination") is: count a
+/// spawned push BEFORE it becomes poppable, count the pop only AFTER the
+/// row is fully relaxed — so a lane whose pushed == popped has truly
+/// drained. A skipped pop counts as popped too.
+template <WeightType W, typename Push>
+inline void relax_item(const QueryRows<W>& q, uint32_t item, WorkStats& stats,
+                       std::atomic<uint64_t>* pushed,
+                       std::atomic<uint64_t>* popped, Push&& push) {
+  using Dist = DistT<W>;
+  const CsrGraph<W>& g = *q.graph;
+  uint32_t lane = 0;
+  VertexId u = VertexId(item);
+  if (q.num_lanes > 1) {
+    lane = lane_of(item);
+    u = VertexId(node_of(item));
+  }
+  if (q.lane_dead != nullptr &&
+      q.lane_dead[lane].load(std::memory_order_relaxed)) {
+    // Detached lane: consume the item without edge work so the lane
+    // drains out of the shared queue at pop speed.
+    ++stats.lane_dropped;
+    if (popped != nullptr) popped[lane].fetch_add(1, std::memory_order_release);
+    return;
+  }
+  const size_t base = size_t(lane) * g.num_vertices();
+  const Dist du = q.dist->load(base + u);
+  // Once-per-label claim. It fails when another pop already claimed this
+  // label (or a lower one, whose row that pop relaxes), and for an
+  // infinite label, which only a corrupt queue can pop: the push that
+  // enqueued u set a finite distance first.
+  if (!q.expanded->fetch_min(base + u, du)) {
+    ++stats.stale_skipped;
+    if (popped != nullptr) popped[lane].fetch_add(1, std::memory_order_release);
+    return;
+  }
+  ++stats.items_processed;
+  const VertexId* const targets = g.targets().data();
+  const W* const weights = g.weights().data();
+  const EdgeIndex begin = g.edge_begin(u);
+  const EdgeIndex end = g.edge_end(u);
+  stats.relaxations += end - begin;
+  for (EdgeIndex e = begin; e < end; ++e) {
+    const VertexId v = targets[e];
+    const Dist nd = du + Dist(weights[e]);
+    if (q.dist->fetch_min(base + v, nd)) {
+      if (q.parent != nullptr)
+        q.parent[base + v].store(u, std::memory_order_relaxed);
+      ++stats.improvements;
+      ++stats.pushes;
+      if (pushed != nullptr)
+        pushed[lane].fetch_add(1, std::memory_order_relaxed);
+      push(q.num_lanes > 1 ? lane_encode(lane, uint32_t(v)) : uint32_t(v), nd);
+    }
+  }
+  if (popped != nullptr) popped[lane].fetch_add(1, std::memory_order_release);
+}
+
 /// Everything one worker thread needs. The flag pointer is stable for the
 /// worker's lifetime; every other field is per-query: the engine retargets
 /// them between queries while the worker is idle-parked, and the
 /// assignment flag's release/acquire handshake carries them across.
 template <WeightType W>
 struct WorkerContext {
-  const CsrGraph<W>* graph = nullptr;
+  QueryRows<W> rows;
   WorkQueue* queue = nullptr;
-  AtomicDistArray<DistT<W>>* dist = nullptr;
   AssignmentFlag* flag = nullptr;
   uint32_t combine_capacity = 0;  // 0: single-item pushes (combining off)
   uint64_t fault_domain = 0;      // query's fault domain (util/fault.hpp)
-  // Batched multi-source state (null/1 for classic single-source solves).
-  // Work items carry their lane in the top bits; dist/parent are lane-major
-  // [lane * V + v] so one lane's relaxations walk one contiguous row.
-  uint32_t num_lanes = 1;
-  const std::atomic<bool>* lane_dead = nullptr;   // [num_lanes] detach flags
-  std::atomic<uint64_t>* lane_pushed = nullptr;   // [num_lanes] this worker
-  std::atomic<uint64_t>* lane_popped = nullptr;   // [num_lanes] this worker
-  std::atomic<VertexId>* parent = nullptr;        // [num_lanes * V] or null
+  // This worker's per-lane counter rows (null for single-source solves).
+  std::atomic<uint64_t>* lane_pushed = nullptr;   // [num_lanes]
+  std::atomic<uint64_t>* lane_popped = nullptr;   // [num_lanes]
   WorkStats stats;  // per-query; manager zeroes before, reads after
 };
 
-/// Pulls the CSR row bounds of `u` toward the cache ahead of use.
+/// Pulls what popping `item` touches first toward the cache ahead of use:
+/// the CSR row bounds of its vertex and the vertex's claim entry.
 template <WeightType W>
-inline void prefetch_row_offsets(const CsrGraph<W>& g, VertexId u) noexcept {
+inline void prefetch_item(const QueryRows<W>& q, uint32_t item) noexcept {
+  uint32_t lane = 0;
+  VertexId u = VertexId(item);
+  if (q.num_lanes > 1) {
+    lane = lane_of(item);
+    u = VertexId(node_of(item));
+  }
 #if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(g.offsets().data() + u, 0 /*read*/, 3 /*high locality*/);
-#else
-  (void)g;
-  (void)u;
+  __builtin_prefetch(q.graph->offsets().data() + u, 0 /*read*/,
+                     3 /*high locality*/);
 #endif
+  q.expanded->prefetch(size_t(lane) * q.graph->num_vertices() + u);
 }
 
 /// Persistent worker loop: parks on the assignment flag between ranges —
@@ -103,20 +187,17 @@ void worker_main(WorkerContext<W>& ctx) {
     if (should_exit) break;
     if (!assignment) continue;
 
-    const CsrGraph<W>& g = *ctx.graph;
     WorkQueue& queue = *ctx.queue;
-    AtomicDistArray<Dist>& dist = *ctx.dist;
     // Adopt the query's fault domain for this assignment: domain-restricted
     // fault plans only hit workers executing the tagged query.
     fault::set_thread_domain(ctx.fault_domain);
-    const VertexId* const targets = g.targets().data();
-    const W* const weights = g.weights().data();
+    const uint32_t num_lanes = ctx.rows.num_lanes;
     if (ctx.combine_capacity == 0) {
       combiner.reset();
     } else if (!combiner || combiner->queue() != &queue ||
                combiner->lane_capacity() != ctx.combine_capacity ||
-               combiner->query_lanes() != ctx.num_lanes) {
-      combiner.emplace(queue, ctx.combine_capacity, ctx.num_lanes);
+               combiner->query_lanes() != num_lanes) {
+      combiner.emplace(queue, ctx.combine_capacity, num_lanes);
     }
 
     // Injected worker stall: the assignment sits un-processed (in-flight),
@@ -126,84 +207,30 @@ void worker_main(WorkerContext<W>& ctx) {
     Bucket& bucket = queue.physical_bucket(assignment->phys_bucket);
     cache.reset();
 
-    // Relaxes one row; pushes go through the combiner when enabled.
-    // Batched solves decode (lane, node) from the item and relax against
-    // the lane's contiguous dist row; the lane-counter discipline
-    // (docs/QUEUE_PROTOCOL.md §"Per-lane termination") is: count a spawned
-    // push BEFORE it becomes poppable, count the pop only AFTER the row is
-    // fully relaxed — so a lane whose pushed == popped has truly drained.
-    const uint32_t num_lanes = ctx.num_lanes;
-    const size_t V = g.num_vertices();
-    const auto relax_row = [&](uint32_t item) {
-      uint32_t lane = 0;
-      VertexId u = VertexId(item);
-      if (num_lanes > 1) {
-        lane = lane_of(item);
-        u = VertexId(node_of(item));
+    // Pushes go through the combiner when enabled.
+    const auto push = [&](uint32_t out, Dist nd) {
+      if (combiner) {
+        combiner->push(out, double(nd));
+      } else if (queue.push(out, double(nd)) != WorkQueue::kPushAborted) {
+        ++ctx.stats.queue_reserve_ops;
+        ++ctx.stats.queue_publish_ops;
       }
-      if (ctx.lane_dead != nullptr &&
-          ctx.lane_dead[lane].load(std::memory_order_relaxed)) {
-        // Detached lane: consume the item without edge work so the lane
-        // drains out of the shared queue at pop speed.
-        ++ctx.stats.lane_dropped;
-        if (ctx.lane_popped != nullptr)
-          ctx.lane_popped[lane].fetch_add(1, std::memory_order_release);
-        return;
-      }
-      const size_t base = size_t(lane) * V;
-      const Dist du = dist.load(base + u);
-      if (du == DistTraits<W>::infinity()) {
-        // Only possible for a corrupt queue; the push that enqueued u set a
-        // finite distance first.
-        ++ctx.stats.stale_skipped;
-        if (ctx.lane_popped != nullptr)
-          ctx.lane_popped[lane].fetch_add(1, std::memory_order_release);
-        return;
-      }
-      ++ctx.stats.items_processed;
-      const EdgeIndex begin = g.edge_begin(u);
-      const EdgeIndex end = g.edge_end(u);
-      ctx.stats.relaxations += end - begin;
-      for (EdgeIndex e = begin; e < end; ++e) {
-        const VertexId v = targets[e];
-        const Dist nd = du + Dist(weights[e]);
-        if (dist.fetch_min(base + v, nd)) {
-          if (ctx.parent != nullptr)
-            ctx.parent[base + v].store(u, std::memory_order_relaxed);
-          ++ctx.stats.improvements;
-          ++ctx.stats.pushes;
-          const uint32_t out =
-              num_lanes > 1 ? lane_encode(lane, uint32_t(v)) : uint32_t(v);
-          if (ctx.lane_pushed != nullptr)
-            ctx.lane_pushed[lane].fetch_add(1, std::memory_order_relaxed);
-          if (combiner) {
-            combiner->push(out, double(nd));
-          } else if (queue.push(out, double(nd)) != WorkQueue::kPushAborted) {
-            ++ctx.stats.queue_reserve_ops;
-            ++ctx.stats.queue_publish_ops;
-          }
-        }
-      }
-      if (ctx.lane_popped != nullptr)
-        ctx.lane_popped[lane].fetch_add(1, std::memory_order_release);
     };
 
     // Row-batched relaxation with one-ahead software prefetch: the next
-    // item's vertex id is resolved and its CSR row offsets prefetched
-    // while the current row is being relaxed, hiding the offsets-array
-    // miss behind the current row's edge work.
-    const auto node_for_prefetch = [num_lanes](uint32_t item) noexcept {
-      return VertexId(num_lanes > 1 ? node_of(item) : item);
-    };
+    // item's CSR row offsets and claim entry are prefetched while the
+    // current row is being relaxed, hiding those misses behind the current
+    // row's edge work.
     uint32_t item = cache.read(bucket, assignment->start);
-    prefetch_row_offsets(g, node_for_prefetch(item));
+    prefetch_item(ctx.rows, item);
     for (uint32_t i = 0; i < assignment->count; ++i) {
       uint32_t next = 0;
       if (i + 1 < assignment->count) {
         next = cache.read(bucket, assignment->start + i + 1);
-        prefetch_row_offsets(g, node_for_prefetch(next));
+        prefetch_item(ctx.rows, next);
       }
-      relax_row(item);
+      relax_item(ctx.rows, item, ctx.stats, ctx.lane_pushed, ctx.lane_popped,
+                 push);
       item = next;
     }
     // Publication order matters: all pushes above — including every item
@@ -302,7 +329,16 @@ struct HostEngine<W>::Impl {
     WorkQueue::Config qcfg;
     qcfg.num_buckets = opts_.num_buckets;
     qcfg.bucket.segment_words = opts_.segment_words;
-    qcfg.bucket.table_size = 64;
+    // Every bucket can map every block of the pool, so a bucket's live span
+    // is bounded by pool exhaustion — which the governor handles — and
+    // never by translation-table wrap, which nothing can relieve when the
+    // head bucket's own workers are the writers waiting on it. Small pools
+    // keep at least 64 entries: once completed holes are recycled, a
+    // stalled in-flight range pins its slot while the rest of the pool
+    // moves on, and the table period bounds how far it can. (Capped so one
+    // period stays within the wrapping index's half range.)
+    qcfg.bucket.table_size = std::min(std::bit_ceil(std::max(want, 64u)),
+                                      (1u << 31) / opts_.block_words);
     queue_ = std::make_unique<WorkQueue>(*pool_, qcfg);
     dirty_ = false;
   }
@@ -444,6 +480,8 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
   // only for batched runs — single-source solves keep every pointer null
   // and pay nothing.
   AtomicDistArray<Dist> dist(size_t(num_lanes) * V, DistTraits<W>::infinity());
+  AtomicDistArray<Dist> expanded(size_t(num_lanes) * V,
+                                 DistTraits<W>::infinity());
   if (repair != nullptr) {
     // Warm start: the plan's labels are over-approximate for the child
     // graph (parent solve with the increase-affected region reset to inf),
@@ -499,20 +537,23 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
   // The manager loop below runs on this thread: adopt the query's fault
   // domain for its injection sites (scan stall, AF delivery delay).
   fault::ThreadDomainScope fault_domain_scope(ctl.fault_domain);
+  QueryRows<W> rows;
+  rows.graph = &g;
+  rows.dist = &dist;
+  rows.expanded = &expanded;
+  rows.num_lanes = num_lanes;
+  rows.lane_dead = lane_dead.get();
+  rows.parent = parent.get();
   for (uint32_t i = 0; i < opts.num_workers; ++i) {
-    contexts_[i].graph = &g;
+    contexts_[i].rows = rows;
     contexts_[i].queue = &queue;
-    contexts_[i].dist = &dist;
     contexts_[i].combine_capacity =
         opts.write_combining ? opts.combine_capacity : 0;
     contexts_[i].fault_domain = ctl.fault_domain;
-    contexts_[i].num_lanes = num_lanes;
-    contexts_[i].lane_dead = lane_dead.get();
     contexts_[i].lane_pushed =
         batched ? lane_pushed.get() + size_t(i) * num_lanes : nullptr;
     contexts_[i].lane_popped =
         batched ? lane_popped.get() + size_t(i) * num_lanes : nullptr;
-    contexts_[i].parent = parent.get();
     contexts_[i].stats.reset();
     flags_[i].set_done_event(&wake);
   }
@@ -634,6 +675,26 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
     }
   };
   std::vector<BucketFrontier> frontiers(opts.num_buckets);
+  // Frees the blocks that lie wholly inside ranges completed out of order
+  // above a bucket's frontier (coalescing adjacent ranges first).
+  const auto recycle_holes = [&](uint32_t phys) {
+    std::vector<Assignment>& done = frontiers[phys].out_of_order;
+    const uint32_t front = frontiers[phys].frontier;
+    std::sort(done.begin(), done.end(),
+              [front](const Assignment& a, const Assignment& b) {
+                return a.start - front < b.start - front;
+              });
+    Bucket& b = queue.physical_bucket(phys);
+    uint32_t freed = 0;
+    for (size_t i = 0; i < done.size();) {
+      const uint32_t lo = done[i].start;
+      uint32_t hi = lo + done[i].count;
+      for (++i; i < done.size() && done[i].start == hi; ++i)
+        hi += done[i].count;
+      freed += b.recycle_range(lo, hi);
+    }
+    return freed;
+  };
 
   // --- Pool-pressure governor state ----------------------------------------
   //
@@ -697,7 +758,10 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
   // `force`, any items — the endgame where only spilled work remains)
   // into the head bucket. Uses the manager-only non-blocking push: the
   // manager must never wait on capacity that it alone can map. Items a
-  // dry pool cannot take back stay spilled for a later sweep.
+  // dry pool cannot take back stay spilled for a later sweep, and
+  // `replay_starved` asks that sweep to strip slack from the other
+  // buckets for the head, exactly as for writers parked on capacity.
+  bool replay_starved = false;
   const auto replay_pass = [&](bool force) {
     if (spill.empty() || queue.aborted()) return uint64_t{0};
     Bucket& head = queue.logical_bucket(0);
@@ -726,6 +790,7 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
         // The pool cannot back the batch right now: keep the items
         // spilled (parked at the head band so they stay ready).
         for (uint32_t v : replay_buf) spill.add(head_band, v);
+        replay_starved = true;
         break;
       }
       replayed += n;
@@ -788,47 +853,12 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
   const auto inline_execute = [&](Bucket& b, uint32_t logical,
                                   uint32_t count) {
     const uint32_t start = b.read_ptr();
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint32_t item = b.read_item(start + i);
-      const uint32_t lane = num_lanes > 1 ? lane_of(item) : 0;
-      const VertexId u =
-          num_lanes > 1 ? VertexId(node_of(item)) : VertexId(item);
-      if (lane_dead != nullptr &&
-          lane_dead[lane].load(std::memory_order_relaxed)) {
-        ++r.work.lane_dropped;
-        mgr_popped[lane].fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      const size_t base = size_t(lane) * V;
-      const Dist du = dist.load(base + u);
-      if (du == DistTraits<W>::infinity()) {
-        ++r.work.stale_skipped;
-        if (mgr_popped != nullptr)
-          mgr_popped[lane].fetch_add(1, std::memory_order_release);
-        continue;
-      }
-      ++r.work.items_processed;
-      const EdgeIndex begin = g.edge_begin(u);
-      const EdgeIndex end = g.edge_end(u);
-      r.work.relaxations += end - begin;
-      for (EdgeIndex e = begin; e < end; ++e) {
-        const VertexId v = g.targets()[e];
-        const Dist nd = du + Dist(g.weights()[e]);
-        if (dist.fetch_min(base + v, nd)) {
-          if (parent != nullptr)
-            parent[base + v].store(u, std::memory_order_relaxed);
-          ++r.work.improvements;
-          ++r.work.pushes;
-          if (mgr_pushed != nullptr)
-            mgr_pushed[lane].fetch_add(1, std::memory_order_relaxed);
-          inline_out.emplace_back(
-              num_lanes > 1 ? lane_encode(lane, uint32_t(v)) : uint32_t(v),
-              double(nd));
-        }
-      }
-      if (mgr_popped != nullptr)
-        mgr_popped[lane].fetch_add(1, std::memory_order_release);
-    }
+    const auto push = [&](uint32_t out, Dist nd) {
+      inline_out.emplace_back(out, double(nd));
+    };
+    for (uint32_t i = 0; i < count; ++i)
+      relax_item(rows, b.read_item(start + i), r.work, mgr_pushed, mgr_popped,
+                 push);
     // Same retirement sequence as a spilled range: read, advance,
     // CWC-complete, frontier — downstream accounting cannot tell an
     // inline-executed range from a worker-executed one.
@@ -926,6 +956,7 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
     // contract: a dry pool throws out of ensure_capacity_all.
     uint64_t spilled = 0;
     uint32_t mapped = 0;
+    uint32_t shrunk = 0;  // blocks moved off buckets that did not need them
     bool starved_now = false;
     const uint32_t active = std::max(1u, controller.active_buckets());
     if (!opts.pool_governor) {
@@ -956,7 +987,6 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
         frontiers[phys].complete({phys, start, pad});
         return b.recycle_below(frontiers[phys].frontier);
       };
-      uint32_t shrunk = 0;
       if (lvl != PoolPressure::kNone) {
         for (uint32_t l = active + 1; l < opts.num_buckets; ++l) {
           shrunk +=
@@ -975,19 +1005,28 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
         mapped += queue.logical_bucket(l).ensure_capacity(
             slack, /*best_effort=*/true);
       }
-      const auto any_starved = [&]() {
-        for (uint32_t l = 0; l < opts.num_buckets; ++l)
+      const auto starved_from = [&](uint32_t first) {
+        for (uint32_t l = first; l < opts.num_buckets; ++l)
           if (queue.logical_bucket(l).writers_starved()) return true;
         return false;
       };
-      if (any_starved()) {
-        // Writers are parked on capacity the pool cannot back: spill
-        // everything spillable and strip every non-starved bucket beyond
-        // the head down to zero slack (parked writers trump prefetched
-        // capacity and schedule quality), then aim the recovered blocks
-        // at the starved buckets and the head.
+      if (starved_from(0) || replay_starved) {
+        // Writers are parked on capacity the pool cannot back, or spilled
+        // work could not re-enter the head. Free the blocks that completed
+        // out of order (the oldest in-flight range pins the prefix, and
+        // its worker may be one of the parked writers), spill everything
+        // spillable and strip every non-starved bucket beyond the head
+        // down to zero slack (parked writers and live work trump
+        // prefetched capacity and schedule quality), then aim the
+        // recovered blocks at the starved buckets and the head. Writers
+        // parked beyond the head take the head's unreserved slack too:
+        // the head re-maps only what they leave, so blocks move one way
+        // and the strip cannot repeat as false progress.
+        replay_starved = false;
+        for (uint32_t b = 0; b < opts.num_buckets; ++b)
+          recycled += recycle_holes(b);
         spilled += spill_pass(pool.num_blocks(), 1);
-        for (uint32_t l = 1; l < opts.num_buckets; ++l) {
+        for (uint32_t l = starved_from(1) ? 0 : 1; l < opts.num_buckets; ++l) {
           Bucket& b = queue.logical_bucket(l);
           if (!b.writers_starved()) {
             shrunk += b.shrink_capacity(0);
@@ -1002,9 +1041,8 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
         }
         mapped += queue.logical_bucket(0).ensure_capacity(
             full_slack, /*best_effort=*/true);
-        starved_now = any_starved();
+        starved_now = starved_from(0);
       }
-      recycled += shrunk;
     }
 
     // Retire drained head buckets while work remains elsewhere.
@@ -1097,8 +1135,11 @@ BatchResult<W> HostEngine<W>::Impl::run(const CsrGraph<W>& g,
     // restart-with-resize (its last resort now) takes over. Never fires on
     // non-pool wedges (lost publications etc.); those belong to the
     // watchdog, as before.
+    // Blocks shrunk off one bucket and mapped to another within a sweep
+    // are a reshuffle, not progress: only net mapping counts, so a sweep
+    // that strips and re-maps the same blocks forever still wedges.
     const bool progressed = assigned_any || harvested > 0 || recycled > 0 ||
-                            mapped > 0 || spilled > 0 || replayed > 0 ||
+                            mapped > shrunk || spilled > 0 || replayed > 0 ||
                             advances > 0;
     // Heartbeat for the external supervisor: sweeps always tick, the pulse
     // only on progress — so "sweeping but pulse frozen" is the wedge

@@ -32,6 +32,14 @@ class AtomicDistArray {
   void store(size_t i, Dist v) noexcept {
     d_[i].store(v, std::memory_order_relaxed);
   }
+  /// Pulls d[i]'s cache line toward the core ahead of a fetch_min.
+  void prefetch(size_t i) const noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    __builtin_prefetch(&d_[i], 1 /*write*/, 3 /*high locality*/);
+#else
+    (void)i;
+#endif
+  }
 
   /// atomicMin: lowers d[i] to `v` if v is smaller. Returns true when this
   /// call strictly improved the value (the caller then re-queues vertex i).

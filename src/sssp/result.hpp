@@ -54,7 +54,10 @@ struct WorkStats {
   uint64_t items_processed = 0;  // vertices processed (incl. re-processing)
   uint64_t relaxations = 0;      // edge relaxations attempted
   uint64_t improvements = 0;     // distance updates that won
-  uint64_t stale_skipped = 0;    // popped items dropped by the stale check
+  // Popped items dropped without relaxing their row: an outdated
+  // worklist entry, or on adds-host a pop whose label another pop of the
+  // same vertex already expanded (docs/QUEUE_PROTOCOL.md).
+  uint64_t stale_skipped = 0;
   uint64_t pushes = 0;           // worklist insertions
   uint64_t heap_ops = 0;         // Dijkstra only
 

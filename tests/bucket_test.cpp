@@ -87,6 +87,75 @@ TEST(Bucket, ScanFromMidSegmentReadPtr) {
   EXPECT_EQ(b.scan_written_bound(), 12u);
 }
 
+TEST(Bucket, ScanNeverPassesAllocLimit) {
+  // Writers that reserved past alloc_limit sit in unmapped segments, whose
+  // WCC slots alias the region one translation window (4 * 64 = 256 words)
+  // earlier. Fill that earlier region completely so its stale WCCs read
+  // N, recycle it, map one block of the next window and reserve beyond it:
+  // the scan must stop at alloc_limit, not vouch for slots nobody wrote.
+  BlockPool pool(8, kBlockWords);
+  Bucket b(pool, small_cfg());
+  b.ensure_capacity(4 * kBlockWords);
+  for (uint32_t i = 0; i < 4 * kBlockWords; ++i) b.push(i);
+  ASSERT_EQ(b.scan_written_bound(), 4 * kBlockWords);
+  b.advance_read(4 * kBlockWords);
+  b.complete(4 * kBlockWords);
+  ASSERT_EQ(b.retire(), 4u);
+
+  ASSERT_EQ(b.ensure_capacity(kBlockWords), 1u);  // maps [256, 320)
+  for (uint32_t i = 0; i < kBlockWords; ++i) b.push(1000 + i);
+  // A writer reserves [320, 328): unmapped, so it would park in
+  // wait_allocated. Its segment's WCC slot is that of [64, 72), fully
+  // written in the first window and never zeroed since.
+  ASSERT_EQ(b.reserve(8), 5 * kBlockWords);
+  ASSERT_TRUE(b.writers_starved());
+  EXPECT_EQ(b.scan_written_bound(), 5 * kBlockWords);
+}
+
+TEST(Bucket, RepeatedScanDoesNotRewalkBacklog) {
+  // The manager hands out a few items per sweep, so a published backlog
+  // is scanned many times before it is consumed. The scan resumes at its
+  // previous bound: re-scanning an unchanged bucket loads no WCC, and new
+  // publications cost one load per newly covered segment.
+  BlockPool pool(8, kBlockWords);
+  Bucket b(pool, small_cfg());
+  b.ensure_capacity(2 * kBlockWords);
+  for (uint32_t i = 0; i < 40; ++i) b.push(i);  // 5 segments of 8
+  EXPECT_EQ(b.scan_written_bound(), 40u);
+  const uint64_t first = b.scanned_segments();
+  EXPECT_EQ(first, 5u);
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    EXPECT_EQ(b.scan_written_bound(), 40u);
+    b.advance_read(b.read_ptr() + 4);  // a partial hand-out per sweep
+  }
+  EXPECT_EQ(b.scanned_segments(), first);
+  for (uint32_t i = 0; i < 8; ++i) b.push(40 + i);
+  EXPECT_EQ(b.scan_written_bound(), 48u);
+  EXPECT_EQ(b.scanned_segments(), first + 1);
+  // A partial segment is re-checked from its base until it completes.
+  for (uint32_t i = 0; i < 3; ++i) b.push(48 + i);
+  EXPECT_EQ(b.scan_written_bound(), 51u);
+  EXPECT_EQ(b.scan_written_bound(), 51u);
+  b.push(51);
+  EXPECT_EQ(b.scan_written_bound(), 52u);
+}
+
+TEST(Bucket, ResetRewindsScanCursor) {
+  BlockPool pool(8, kBlockWords);
+  Bucket b(pool, small_cfg());
+  b.ensure_capacity(kBlockWords);
+  for (uint32_t i = 0; i < 20; ++i) b.push(i);
+  ASSERT_EQ(b.scan_written_bound(), 20u);
+  b.advance_read(20);
+  b.complete(20);
+  b.reset();
+  EXPECT_EQ(b.scanned_segments(), 0u);
+  b.ensure_capacity(kBlockWords);
+  for (uint32_t i = 0; i < 3; ++i) b.push(100 + i);
+  EXPECT_EQ(b.scan_written_bound(), 3u);
+  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(b.read_item(i), 100 + i);
+}
+
 TEST(Bucket, DrainedRequiresCompletion) {
   BlockPool pool(8, kBlockWords);
   Bucket b(pool, small_cfg());
@@ -143,6 +212,30 @@ TEST(Bucket, CapacityBoundedByTranslationTable) {
   b.retire();
   const uint32_t mapped = b.ensure_capacity(2 * kBlockWords);
   EXPECT_GT(mapped, 0u);
+}
+
+TEST(Bucket, RecycleRangeFreesCompletedHoles) {
+  // Blocks 1 and 2 completed while block 0 is still in flight: the hole
+  // goes back to the pool now, and prefix recycling later steps over it.
+  BlockPool pool(8, kBlockWords);
+  Bucket b(pool, small_cfg());
+  b.ensure_capacity(4 * kBlockWords);
+  for (uint32_t i = 0; i < 4 * kBlockWords; ++i) b.push(i);
+  b.advance_read(b.scan_written_bound());
+  ASSERT_EQ(b.mapped_blocks(), 4u);
+  EXPECT_EQ(b.recycle_range(kBlockWords / 2, 3 * kBlockWords), 2u);
+  EXPECT_EQ(b.recycle_range(kBlockWords, 3 * kBlockWords), 0u);  // idempotent
+  EXPECT_EQ(b.mapped_blocks(), 2u);
+  EXPECT_EQ(pool.free_blocks(), 6u);
+  EXPECT_EQ(b.read_item(3 * kBlockWords), 3 * kBlockWords);  // block 3 lives
+  // Block 0 still pins the table period: mapping [256, 320) would reuse
+  // block 0's slot, so the table is full although only 2 blocks are mapped.
+  EXPECT_EQ(b.ensure_capacity(kBlockWords), 0u);
+  b.complete(4 * kBlockWords);
+  EXPECT_EQ(b.recycle_below(4 * kBlockWords), 2u);  // blocks 0 and 3
+  EXPECT_EQ(b.mapped_blocks(), 0u);
+  EXPECT_EQ(pool.free_blocks(), 8u);
+  EXPECT_EQ(b.ensure_capacity(kBlockWords), 1u);
 }
 
 TEST(Bucket, IndexWrapAroundPreservesFifo) {

@@ -8,6 +8,8 @@
 //     produces a validated result).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/resilience.hpp"
 #include "core/validate.hpp"
 #include "graph/generators.hpp"
@@ -22,20 +24,36 @@ using fault::FaultScope;
 using fault::FaultSpec;
 using fault::Site;
 
+// gtest prints a parameter that has no printer as its raw bytes, and ctest
+// takes that text into each test's name. The case therefore has no padding
+// bytes (uninitialised padding made the names differ per build): padding is
+// spelled out and zeroed, and the FaultSpec fields are held flat with
+// delay_us widened over FaultSpec's tail padding.
 struct SiteCase {
   Site site;
-  FaultSpec spec;
+  uint8_t pad0[7] = {};
+  double probability = 0.0;
+  uint64_t max_fires = ~0ull;
+  uint64_t delay_us = 0;
   // Write combining on (default) routes pushes through batched flushes, so
   // the push-site injections fire inside PushCombiner::flush_lane; off
   // exercises the legacy single-item path.
   bool combining = true;
+  uint8_t pad1[3] = {};
   // Nonzero: run on a deliberately tiny pool (this many blocks). Used with
   // pool.exhausted to force real pressure onto the spill governor.
   uint32_t pool_blocks = 0;
   // The site must be absorbed in-run by the governor: the guarded run must
   // finish on adds-host itself with zero fallbacks, with spilled work.
   bool expect_no_fallback = false;
+  uint8_t pad2[7] = {};
+
+  FaultSpec spec() const {
+    return {probability, max_fires, uint32_t(delay_us)};
+  }
 };
+// No padding: the size is exactly the sum of the fields.
+static_assert(sizeof(SiteCase) == 1 + 7 + 8 + 8 + 8 + 1 + 3 + 4 + 1 + 7);
 
 class FaultMatrix : public ::testing::TestWithParam<SiteCase> {};
 
@@ -63,7 +81,7 @@ TEST_P(FaultMatrix, GuardedRunSurvivesInjection) {
   uint64_t total_spilled = 0;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     FaultPlan plan(seed);
-    plan.set(c.site, c.spec);
+    plan.set(c.site, c.spec());
     FaultScope scope(plan);
     const auto res =
         run_solver_guarded(SolverKind::kAddsHost, g, 0, cfg, policy);
@@ -94,28 +112,46 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Allocation failure: adds-host dies with adds::Error, chain falls
         // through to engines that never touch the pool.
-        SiteCase{Site::kPoolAllocFail, {0.3, ~0ull, 0}},
+        SiteCase{.site = Site::kPoolAllocFail, .probability = 0.3},
         // Write->publish window widened: stresses the partial-segment scan;
         // results must stay exact.
-        SiteCase{Site::kPushDelay, {0.05, ~0ull, 200}},
+        SiteCase{
+            .site = Site::kPushDelay, .probability = 0.05, .delay_us = 200},
         // Lost publication: wedges the segment scan, termination hangs, the
         // watchdog must cut the attempt loose.
-        SiteCase{Site::kPushDropBeforePublish, {0.05, ~0ull, 0}},
+        SiteCase{.site = Site::kPushDropBeforePublish, .probability = 0.05},
         // Manager preemption jitter.
-        SiteCase{Site::kManagerScanStall, {0.2, ~0ull, 1000}},
+        SiteCase{.site = Site::kManagerScanStall,
+                 .probability = 0.2,
+                 .delay_us = 1000},
         // Late assignment-flag delivery.
-        SiteCase{Site::kAfDeliveryDelay, {0.1, ~0ull, 500}},
+        SiteCase{.site = Site::kAfDeliveryDelay,
+                 .probability = 0.1,
+                 .delay_us = 500},
         // Worker preemption with an assignment in flight.
-        SiteCase{Site::kWorkerStall, {0.1, ~0ull, 1000}},
+        SiteCase{
+            .site = Site::kWorkerStall, .probability = 0.1, .delay_us = 1000},
         // The push sites again with combining disabled: the injections must
         // be survivable on the single-item path too.
-        SiteCase{Site::kPushDelay, {0.05, ~0ull, 200}, false},
-        SiteCase{Site::kPushDropBeforePublish, {0.05, ~0ull, 0}, false},
+        SiteCase{.site = Site::kPushDelay,
+                 .probability = 0.05,
+                 .delay_us = 200,
+                 .combining = false},
+        SiteCase{.site = Site::kPushDropBeforePublish,
+                 .probability = 0.05,
+                 .combining = false},
         // Soft pool exhaustion on an undersized pool: try_allocate reports
         // an empty pool, the spill governor absorbs the pressure, and the
         // run must finish on adds-host with no fallback at all.
-        SiteCase{Site::kPoolExhausted, {0.3, ~0ull, 0}, true, 12, true},
-        SiteCase{Site::kPoolExhausted, {0.3, ~0ull, 0}, false, 12, true}),
+        SiteCase{.site = Site::kPoolExhausted,
+                 .probability = 0.3,
+                 .pool_blocks = 12,
+                 .expect_no_fallback = true},
+        SiteCase{.site = Site::kPoolExhausted,
+                 .probability = 0.3,
+                 .combining = false,
+                 .pool_blocks = 12,
+                 .expect_no_fallback = true}),
     [](const ::testing::TestParamInfo<SiteCase>& info) {
       std::string name = fault::site_name(info.param.site);
       for (char& ch : name)

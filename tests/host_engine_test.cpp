@@ -7,6 +7,7 @@
 
 #include "core/validate.hpp"
 #include "graph/analysis.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/host_engine.hpp"
@@ -184,6 +185,90 @@ TEST(HostEngine, FloatVariantReusesCorrectly) {
     const auto res = engine.solve(g, s);
     EXPECT_TRUE(validate_distances(res, dijkstra(g, s)).ok());
   }
+}
+
+// Diamond s -> {a, b} -> v -> t. The heavier route through a is relaxed
+// first (a precedes b in s's row and in the queue), so v is improved twice
+// — to 11, then to 5 — and sits in the queue twice before either copy
+// pops. Exactly one of the two copies may expand v.
+CsrGraph<uint32_t> diamond() {
+  GraphBuilder<uint32_t> b(5);
+  b.add_edge(0, 1, 1);   // s -> a
+  b.add_edge(0, 2, 2);   // s -> b
+  b.add_edge(1, 3, 10);  // a -> v
+  b.add_edge(2, 3, 3);   // b -> v
+  b.add_edge(3, 4, 1);   // v -> t
+  return b.build();
+}
+
+AddsHostOptions diamond_opts() {
+  AddsHostOptions o;
+  o.num_workers = 1;
+  o.delta = 1000.0;  // one bucket: every push lands behind the one before
+  return o;
+}
+
+TEST(HostEngine, DuplicatePopsExpandEachLabelOnce) {
+  const auto g = diamond();
+  const auto oracle = dijkstra(g, VertexId{0});
+  HostEngine<uint32_t> engine(diamond_opts());
+  const auto res = engine.solve(g, 0);
+  EXPECT_TRUE(validate_distances(res, oracle).ok());
+  EXPECT_EQ(res.dist[3], 5u);
+  EXPECT_EQ(res.work.improvements, 5u);  // a, b, v twice, t
+  EXPECT_EQ(res.work.stale_skipped, 1u);
+  EXPECT_EQ(res.work.items_processed, 5u);  // == reached
+}
+
+TEST(HostEngine, DuplicatePopsExpandEachLabelOnceInBatch) {
+  const auto g = diamond();
+  const auto oracle = dijkstra(g, VertexId{0});
+  HostEngine<uint32_t> engine(diamond_opts());
+  const auto br = engine.solve_batch(g, {LaneQuery{0}, LaneQuery{0}});
+  for (const auto& o : br.lanes) {
+    ASSERT_EQ(o.status, LaneStatus::kOk);
+    EXPECT_TRUE(validate_distances(o.result, oracle).ok());
+  }
+  EXPECT_EQ(br.work.stale_skipped, 2u);        // one per lane
+  EXPECT_EQ(br.work.items_processed, 2u * 5);  // == reached, per lane
+}
+
+TEST(HostEngine, DuplicatePopsExpandEachLabelOnceInRepair) {
+  // Warm labels from a solve that had not reached v or t yet; the repair
+  // frontier re-relaxes a and b, which improve v twice again.
+  const auto g = diamond();
+  const auto oracle = dijkstra(g, VertexId{0});
+  constexpr DistT<uint32_t> kInf = DistTraits<uint32_t>::infinity();
+  RepairPlan<uint32_t> plan;
+  plan.warm = {0, 1, 2, kInf, kInf};
+  plan.frontier = {{1, 1}, {2, 2}};
+  HostEngine<uint32_t> engine(diamond_opts());
+  const auto res = engine.solve_repair(g, 0, plan);
+  EXPECT_TRUE(validate_distances(res, oracle).ok());
+  EXPECT_EQ(res.work.stale_skipped, 1u);
+  EXPECT_EQ(res.work.items_processed, 4u);  // a, b, v, t
+}
+
+TEST(HostEngine, HeadSpanBeyondSixtyFourBlocksCompletes) {
+  // A bucket used to map at most 64 blocks (a fixed translation table),
+  // and its writers are the head bucket's own workers: once the live head
+  // span outgrew 64 blocks, they parked on capacity that only their own
+  // unfinished ranges could free, and the solve spun until its deadline.
+  // With 64-word blocks, 64 blocks hold 4,096 items; one Δ bucket over
+  // this RMAT graph holds many times that.
+  const auto g = make_rmat<uint32_t>(13, 8, 0.57, 0.19, 0.19,
+                                     {WeightDist::kUniform, 10000}, 2);
+  AddsHostOptions opts;
+  opts.num_workers = 3;
+  opts.block_words = 64;
+  opts.delta = 1e9;  // one bucket: the whole traversal lives at the head
+  HostEngine<uint32_t> engine(opts);
+  QueryControl ctl;
+  ctl.deadline_ms = 20000.0;  // a livelock fails here instead of hanging
+  const VertexId s = pick_source(g);
+  const auto res = engine.solve(g, s, ctl);
+  EXPECT_TRUE(validate_distances(res, dijkstra(g, s)).ok());
+  EXPECT_GT(res.health.peak_blocks_in_use, 64u);
 }
 
 TEST(HostEngine, OneShotWrapperStillWorks) {

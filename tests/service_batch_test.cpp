@@ -52,6 +52,14 @@ void arm_blocker(fault::FaultPlan& plan) {
   plan.set(fault::Site::kManagerScanStall, {1.0, 1, 60000});
 }
 
+/// Publishing a graph schedules its landmark table build on the rebuilder.
+/// The blocker is armed only once that build has settled; otherwise the
+/// build's own manager sweep can take the one stall meant for the blocker.
+void wait_landmark_builds(const SsspService<uint32_t>& svc) {
+  while (svc.report().landmark_builds_pending != 0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 /// Waits until the dispatcher has dequeued the blocker (queue empty), so
 /// members submitted next are what the post-blocker dispatch coalesces —
 /// without this the blocker itself would join the batch.
@@ -64,10 +72,11 @@ TEST(ServiceBatch, CoalescesQueuedSameGraphQueriesIntoOneSolve) {
   const auto g = batch_graph();
   fault::FaultPlan plan(3);
   arm_blocker(plan);
-  fault::FaultScope scope(plan);
 
   SsspService<uint32_t> svc(batch_service());
   svc.set_graph(g);
+  wait_landmark_builds(svc);
+  fault::FaultScope scope(plan);
 
   auto blocker = svc.submit(0);
   wait_until_picked(svc);
@@ -96,10 +105,11 @@ TEST(ServiceBatch, DuplicateSourcesShareOneLaneAndOneResult) {
   const auto g = batch_graph();
   fault::FaultPlan plan(4);
   arm_blocker(plan);
-  fault::FaultScope scope(plan);
 
   SsspService<uint32_t> svc(batch_service());
   svc.set_graph(g);
+  wait_landmark_builds(svc);
+  fault::FaultScope scope(plan);
 
   auto blocker = svc.submit(0);
   wait_until_picked(svc);
@@ -129,10 +139,11 @@ TEST(ServiceBatch, PreCancelledMemberResolvesWithoutDisturbingTheBatch) {
   const auto g = batch_graph();
   fault::FaultPlan plan(5);
   arm_blocker(plan);
-  fault::FaultScope scope(plan);
 
   SsspService<uint32_t> svc(batch_service());
   svc.set_graph(g);
+  wait_landmark_builds(svc);
+  fault::FaultScope scope(plan);
 
   std::atomic<bool> cancel{false};
   auto blocker = svc.submit(0);
@@ -158,12 +169,13 @@ TEST(ServiceBatch, MaxBatchLanesOneDisablesCoalescing) {
   const auto g = batch_graph();
   fault::FaultPlan plan(6);
   arm_blocker(plan);
-  fault::FaultScope scope(plan);
 
   ServiceConfig cfg = batch_service();
   cfg.max_batch_lanes = 1;
   SsspService<uint32_t> svc(cfg);
   svc.set_graph(g);
+  wait_landmark_builds(svc);
+  fault::FaultScope scope(plan);
 
   auto blocker = svc.submit(0);
   wait_until_picked(svc);

@@ -305,5 +305,75 @@ TEST(ServiceLandmark, AsymmetricGraphIsTypedUnsupported) {
   EXPECT_EQ(q.p2p_distance, oracle.dist[12]);
 }
 
+// Slows every engine sweep (the table build runs on the rebuilder's
+// engine) so a build stays on the rebuilder long enough to be observed.
+void slow_builds(fault::FaultPlan& plan) {
+  plan.set(fault::Site::kManagerScanStall, {1.0, 8, 30000});
+}
+
+TEST(ServiceLandmark, PendingCountsTheBuildOnTheRebuilder) {
+  // A build is pending from the moment it is scheduled until its terminal
+  // event: queued, and also while it runs on the rebuilder. Until then
+  // the generation's table status reads kBuilding.
+  const auto g = test_graph(13);
+  SsspService<uint32_t> svc(small_service());
+  fault::FaultPlan plan(21);
+  slow_builds(plan);
+  fault::FaultScope scope(plan);
+  const uint64_t fp = svc.set_graph(g);
+  uint64_t building_polls = 0, unaccounted = 0;
+  for (int waited = 0; waited < 15000; waited += 2) {
+    const auto rep = svc.report();
+    LandmarkTableStatus st = LandmarkTableStatus::kNone;
+    for (const auto& ts : rep.tenants)
+      if (ts.graph_fp == fp) st = ts.oracle_status;
+    if (st == LandmarkTableStatus::kReady) break;
+    if (st == LandmarkTableStatus::kBuilding) {
+      ++building_polls;
+      if (rep.landmark_builds_pending != 1) ++unaccounted;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(table_status(svc, fp), LandmarkTableStatus::kReady);
+  EXPECT_GT(building_polls, 0u);
+  EXPECT_EQ(unaccounted, 0u);
+  EXPECT_EQ(svc.report().landmark_builds_pending, 0u);
+  EXPECT_GT(plan.fires(fault::Site::kManagerScanStall), 0u);
+}
+
+TEST(ServiceLandmark, RetiredGenerationsBuildEndsWithDroppedEvent) {
+  // Every kTableBuildStart gets a terminal event. A build whose generation
+  // leaves the catalog before it installs ends in kTableDropped.
+  const auto g = test_graph(17);
+  SsspService<uint32_t> svc(small_service());
+  fault::FaultPlan plan(21);
+  slow_builds(plan);
+  fault::FaultScope scope(plan);
+  const uint64_t fp = svc.publish_graph(g);
+  ASSERT_EQ(svc.report().landmark_builds_pending, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(svc.retire_graph(fp));
+  for (int waited = 0; waited < 15000; waited += 2) {
+    if (svc.report().landmark_builds_pending == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(svc.report().landmark_builds_pending, 0u);
+  uint64_t starts = 0, dropped = 0, other_ends = 0;
+  for (const auto& e : svc.flight_dump()) {
+    if (e.ev.b != fp) continue;
+    switch (FlightKind(e.ev.kind)) {
+      case FlightKind::kTableBuildStart: ++starts; break;
+      case FlightKind::kTableDropped: ++dropped; break;
+      case FlightKind::kTableBuilt:
+      case FlightKind::kTableRepaired:
+      case FlightKind::kTableBuildFailed: ++other_ends; break;
+      default: break;
+    }
+  }
+  EXPECT_EQ(starts, 1u);
+  EXPECT_EQ(dropped, 1u);
+  EXPECT_EQ(other_ends, 0u);
+}
+
 }  // namespace
 }  // namespace adds

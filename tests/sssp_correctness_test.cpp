@@ -3,6 +3,9 @@
 // step as a parameterized test matrix).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/experiment.hpp"
 #include "core/validate.hpp"
 #include "graph/analysis.hpp"
@@ -13,10 +16,15 @@
 namespace adds {
 namespace {
 
+// gtest prints a parameter that has no printer as its raw bytes, and ctest
+// takes that text into each test's name. The padding is therefore spelled
+// out and zeroed: uninitialised padding made the names differ per build.
 struct Case {
   SolverKind solver;
+  uint8_t pad[7] = {};
   size_t graph_index;
 };
+static_assert(std::has_unique_object_representations_v<Case>);
 
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   const auto specs = corpus_specs(CorpusTier::kSmoke);
@@ -67,7 +75,8 @@ std::vector<Case> all_cases() {
        {SolverKind::kAdds, SolverKind::kAddsHost, SolverKind::kNf,
         SolverKind::kGunNf, SolverKind::kGunBf, SolverKind::kNv,
         SolverKind::kCpuDs}) {
-    for (size_t i = 0; i < n; ++i) cases.push_back({k, i});
+    for (size_t i = 0; i < n; ++i)
+      cases.push_back({.solver = k, .graph_index = i});
   }
   return cases;
 }

@@ -188,6 +188,14 @@ bool poll_until(Pred&& pred, int timeout_ms) {
   return true;
 }
 
+/// Publishing a graph schedules its landmark table build on the rebuilder,
+/// in that graph's fault domain. Faults are armed only once those builds
+/// have settled; otherwise a build can take a fault meant for a query.
+bool landmark_builds_settled(const SsspService<uint32_t>& svc) {
+  return poll_until(
+      [&] { return svc.report().landmark_builds_pending == 0; }, 20000);
+}
+
 TEST(SupervisorRecovery, WedgedEngineIsKilledQuarantinedAndRebuilt) {
   const auto g = supervisor_graph();
   const auto oracle = dijkstra(g, VertexId{0});
@@ -202,6 +210,7 @@ TEST(SupervisorRecovery, WedgedEngineIsKilledQuarantinedAndRebuilt) {
   cfg.supervisor.quarantine_after_errors = 1;
   SsspService<uint32_t> svc(cfg);
   svc.set_graph(g);
+  ASSERT_TRUE(landmark_builds_settled(svc));
 
   QueryOptions q;
   q.bypass_cache = true;
@@ -266,6 +275,7 @@ TEST(SupervisorRecovery, PersistentlyFailingEngineIsRetiredTyped) {
   cfg.supervisor.probe_deadline_ms = 150.0;  // probes fail fast
   SsspService<uint32_t> svc(cfg);
   svc.set_graph(g);
+  ASSERT_TRUE(landmark_builds_settled(svc));
 
   // Every solve — including each post-rebuild probe — wedges, so the
   // rebuilder burns through max_probe_failures and retires the slot.

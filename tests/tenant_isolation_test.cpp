@@ -44,6 +44,14 @@ bool poll_until(Pred&& pred, int timeout_ms) {
   return true;
 }
 
+/// Publishing a graph schedules its landmark table build on the rebuilder,
+/// in that graph's fault domain. Faults are armed only once those builds
+/// have settled; otherwise a build can take a fault meant for a query.
+bool landmark_builds_settled(const SsspService<uint32_t>& svc) {
+  return poll_until(
+      [&] { return svc.report().landmark_builds_pending == 0; }, 20000);
+}
+
 const TenantStatus* tenant_row(const ServiceReport& rep, uint64_t fp) {
   for (const auto& t : rep.tenants)
     if (t.graph_fp == fp) return &t;
@@ -73,6 +81,7 @@ TEST(TenantIsolation, WedgingTenantLeavesOthersHealthyAndServing) {
   SsspService<uint32_t> svc(cfg);
   svc.set_graph(ga);
   ASSERT_EQ(svc.publish_graph(gb), fp_b);
+  ASSERT_TRUE(landmark_builds_settled(svc));
 
   // Chaos scoped to tenant A: every solve of A's graph wedges; B's solves
   // (and rebuild probes, which run in domain 0) never see the plan.
@@ -158,6 +167,7 @@ TEST(TenantIsolation, BreakerHalfOpensAfterCooldownAndClosesOnSuccess) {
   cfg.tenant.breaker_cooldown_ms = 100.0; // then a short quarantine
   SsspService<uint32_t> svc(cfg);
   svc.set_graph(g);
+  ASSERT_TRUE(landmark_builds_settled(svc));
 
   QueryOptions q;
   q.bypass_cache = true;
